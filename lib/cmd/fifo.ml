@@ -25,6 +25,12 @@ type 'a t = {
   can_enq_f : Kernel.ctx -> bool;
   can_deq_f : Kernel.ctx -> bool;
   clear_f : Kernel.ctx -> unit;
+  (* Untracked guard probes: exactly the outcome the tracked [can_enq],
+     [can_deq] and [first] guards would compute at this point of the
+     cycle, without touching the port bookkeeping. *)
+  room_f : unit -> bool;
+  ready_f : unit -> bool;
+  head_f : unit -> 'a option;
   size_f : unit -> int;
   list_f : unit -> 'a list;
 }
@@ -84,6 +90,9 @@ let ring ~nm ~cap ~dp ~ep =
     Array.iter (fun s -> Ehr.write ctx s 2 None) slots;
     Wakeup.touch sg
   in
+  let room_f () = Ehr.peek count < cap in
+  let ready_f () = Ehr.peek count > 0 in
+  let head_f () = if Ehr.peek count > 0 then Ehr.peek slots.(Ehr.peek head) else None in
   let size_f () = Ehr.peek count in
   let list_f () = ring_list slots (Ehr.peek head) (Ehr.peek count) cap in
   let tk = Partition.mk_token nm in
@@ -108,7 +117,8 @@ let ring ~nm ~cap ~dp ~ep =
   let a_can_deq = atom ~label:"can_deq" [ (false, 0, dp) ] in
   let a_clear = atom ~label:"clear" [ (true, 0, 2); (true, 1, 2); (true, 2, 2); (true, 3, 2) ] in
   { nm; cap; sg; tk_enq = tk; tk_deq = tk; prim; a_enq; a_deq; a_first; a_can_enq; a_can_deq;
-    a_clear; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; list_f }
+    a_clear; enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; room_f; ready_f; head_f; size_f;
+    list_f }
 
 let pipeline ?name ~capacity () =
   let nm = match name with Some n -> n | None -> "pfifo" in
@@ -217,6 +227,12 @@ let cf ?name ?lookahead clk ~capacity () =
     deq_snap := 0;
     Wakeup.touch sg
   in
+  let room_f () = Ehr.peek enq_total - !deq_snap < cap in
+  let ready_f () = Ehr.peek deq_total < !enq_snap in
+  let head_f () =
+    let h = Ehr.peek deq_total in
+    if h < !enq_snap then Ehr.peek slots.(h mod cap) else None
+  in
   let size_f () = Ehr.peek enq_total - Ehr.peek deq_total in
   let list_f () =
     let h = Ehr.peek deq_total and n = Ehr.peek enq_total - Ehr.peek deq_total in
@@ -267,7 +283,7 @@ let cf ?name ?lookahead clk ~capacity () =
       bo_refresh = refresh_snaps;
     };
   { nm; cap; sg; tk_enq; tk_deq; prim; a_enq; a_deq; a_first; a_can_enq; a_can_deq; a_clear;
-    enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; size_f; list_f }
+    enq_f; deq_f; first_f; can_enq_f; can_deq_f; clear_f; room_f; ready_f; head_f; size_f; list_f }
 
 let enq ctx t v = t.enq_f ctx v
 let deq ctx t = t.deq_f ctx
@@ -287,5 +303,8 @@ let fp_first t = t.a_first
 let fp_can_enq t = t.a_can_enq
 let fp_can_deq t = t.a_can_deq
 let fp_clear t = t.a_clear
+let peek_room t = t.room_f ()
+let peek_ready t = t.ready_f ()
+let peek_head t = t.head_f ()
 let peek_size t = t.size_f ()
 let peek_list t = t.list_f ()

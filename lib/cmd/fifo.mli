@@ -85,7 +85,24 @@ val fp_can_enq : 'a t -> Conflict.atom
 val fp_can_deq : 'a t -> Conflict.atom
 val fp_clear : 'a t -> Conflict.atom
 
-(** Untracked occupancy / contents, for statistics and tests. *)
+(** {2 Untracked guard probes}
+
+    For [can_fire] predicates: each returns exactly what the corresponding
+    tracked guard would compute at this point of the cycle — same EHR
+    values, same cycle-start snapshots for a {!cf} queue — without any port
+    bookkeeping. [peek_room] is the outcome of {!can_enq} (and of the guard
+    of {!enq}), [peek_ready] of {!can_deq} (and of the guards of {!deq} and
+    {!first}), and [peek_head] is [Some] of what {!first} would return, or
+    [None] when its guard would fail. A predicate built from them is exact,
+    not conservative, about the queue; watch {!signal} to park on it. *)
+
+val peek_room : 'a t -> bool
+val peek_ready : 'a t -> bool
+val peek_head : 'a t -> 'a option
+
+(** Untracked occupancy / contents, for statistics and tests. Unlike
+    {!peek_ready}, a {!cf} queue's size counts same-cycle enqueues its
+    guards cannot see yet. *)
 val peek_size : 'a t -> int
 
 val peek_list : 'a t -> 'a list

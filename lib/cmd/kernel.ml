@@ -53,9 +53,11 @@ type ctx = {
   mutable chk : bool;
   mutable log : bool;
   mutable dropped : int;
-  (* Compile-audit instrumentation (cold: all stay 0/None in normal runs).
-     [vundo] counts value-undo registrations, distinguishing them from the
-     kernel's own bookkeeping undos; [retries] counts Retry raises;
+  (* Compile-audit instrumentation (cold: all stay 0/None in normal runs,
+     except [vundo]). [vundo] counts live value-undo registrations,
+     distinguishing them from the kernel's own bookkeeping undos (an
+     aborted [attempt] takes its rolled-back ones back, so it also feeds
+     the scheduler's per-rule [wasted] count); [retries] counts Retry raises;
      [audit_total] marks the current rule as claiming abort-free commits;
      [fp_check] is called on every tracked access with the touched cell. *)
   mutable vundo : int;
@@ -189,6 +191,7 @@ let note_elided ctx = ctx.dropped <- ctx.dropped + 1
 
 let access_count ctx = ctx.accesses
 let undo_depth ctx = ctx.undo_len
+let value_writes ctx = ctx.vundo + ctx.dropped
 
 let reset_ctx ctx =
   (* Forget committed undos without running them; clear the slots so the
@@ -292,4 +295,5 @@ let attempt ctx f =
               "rule %s claims ~total but aborted after %d tracked write(s); the claim would corrupt state under tier-A compilation"
               ctx.rule (ctx.vundo - svundo)));
     rollback_to ctx save;
+    ctx.vundo <- svundo;
     None

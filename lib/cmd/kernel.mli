@@ -189,3 +189,11 @@ val access_count : ctx -> int
     to detect that a rule claiming [can_fire = false] actually did
     something. *)
 val undo_depth : ctx -> int
+
+(** Value writes made through this context and not rolled back: logged
+    undo registrations plus elided ones (tier A). Monotonic except that an
+    aborted {!attempt} takes back the writes it rolled back, so the
+    difference across a rule body that returned counts exactly the value
+    writes it committed (0 = the body fired vacuously). Port bookkeeping is
+    not a value write. *)
+val value_writes : ctx -> int

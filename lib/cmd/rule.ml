@@ -12,6 +12,7 @@ type t = {
   mutable guard_failed : int;
   mutable conflicted : int;
   mutable skipped : int;
+  mutable wasted : int;
   mutable parked : bool;
   mutable park_sum : int;
   mutable last_fired : int;
@@ -34,6 +35,7 @@ let make ?can_fire ?(watches = []) ?(touches = []) ?fp ?(total = false) ?(vacuou
     guard_failed = 0;
     conflicted = 0;
     skipped = 0;
+    wasted = 0;
     parked = false;
     park_sum = 0;
     last_fired = -1;
@@ -45,4 +47,5 @@ let reset_stats t =
   t.guard_failed <- 0;
   t.conflicted <- 0;
   t.skipped <- 0;
+  t.wasted <- 0;
   t.last_fired <- -1

@@ -58,6 +58,10 @@ type t = {
   mutable guard_failed : int;  (** attempts aborted by a guard *)
   mutable conflicted : int;  (** attempts aborted by an intra-cycle conflict *)
   mutable skipped : int;  (** attempts pruned by the fast path *)
+  mutable wasted : int;
+      (** bodies that ran and returned without committing a value write
+          (logged or elided): fires that did no work yet paid for a whole
+          transaction. Like [skipped], a host-side cost, not behaviour *)
   mutable parked : bool;  (** scheduler state: waiting on [watches] *)
   mutable park_sum : int;  (** generation sum at park time *)
   mutable last_fired : int;

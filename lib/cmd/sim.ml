@@ -556,8 +556,10 @@ let mk_runner t (r : Rule.t) ~chk ~log =
          the flags. [set_tier] also zeroes the dropped-undo counter, so the
          abort check below sees only this rule's elisions. *)
       Kernel.set_tier ctx ~chk ~log;
+      let w0 = Kernel.value_writes ctx in
       match r.Rule.body ctx with
       | () ->
+        if Kernel.value_writes ctx = w0 then r.Rule.wasted <- r.Rule.wasted + 1;
         Kernel.reset_ctx ctx;
         r.Rule.fired <- r.Rule.fired + 1;
         t.cfired <- t.cfired + 1;
@@ -845,7 +847,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
         Array.map
           (fun (r : Rule.t) ->
             (r.Rule.fired, r.Rule.guard_failed, r.Rule.conflicted, r.Rule.skipped,
-             r.Rule.last_fired))
+             r.Rule.wasted, r.Rule.last_fired))
           rules_arr
       in
       Obj.repr
@@ -862,7 +864,7 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
             rr,
             (ord : int array),
             (rng : Random.State.t option),
-            (per_rule : (int * int * int * int * int) array),
+            (per_rule : (int * int * int * int * int * int) array),
             ((history : (int * string list) array), history_depth) ) =
         Obj.obj o
       in
@@ -872,12 +874,13 @@ let create ?(mode = Multi) ?(fastpath = true) ?(audit = false) ?(jobs = 1)
       Array.iteri (fun i rid -> t.order.(i) <- rules_arr.(rid)) ord;
       t.rng <- rng;
       Array.iteri
-        (fun i (fired, guard_failed, conflicted, skipped, last_fired) ->
+        (fun i (fired, guard_failed, conflicted, skipped, wasted, last_fired) ->
           let r = rules_arr.(i) in
           r.Rule.fired <- fired;
           r.Rule.guard_failed <- guard_failed;
           r.Rule.conflicted <- conflicted;
           r.Rule.skipped <- skipped;
+          r.Rule.wasted <- wasted;
           r.Rule.last_fired <- last_fired;
           (* Wakeup generations are not snapshotted: un-parking every rule
              forces predicate re-evaluation, which cannot change fire
@@ -971,6 +974,16 @@ let shuffle rng a =
     a.(j) <- tmp
   done
 
+(* The audit's verdict on a rule the fast path would have skipped. *)
+let audit_lie (r : Rule.t) ~parked ~cycle what =
+  Audit_fail
+    (if parked then
+       Printf.sprintf
+         "rule %s: parked on its watch set but %s (cycle %d); a watched signal misses a wakeup"
+         r.Rule.name what cycle
+     else
+       Printf.sprintf "rule %s: can_fire returned false but %s (cycle %d)" r.Rule.name what cycle)
+
 let cycle_serial t =
   (match t.rng with Some rng -> shuffle rng t.order | None -> ());
   let fired = ref 0 in
@@ -1000,13 +1013,17 @@ let cycle_serial t =
       else r.Rule.guard_failed <- r.Rule.guard_failed + 1
     end
     else begin
-      (* Audit mode: attempt every rule (fast path disabled) and verify the
-         one-sided can_fire contract — [false] must imply the body cannot
-         commit anything this cycle. *)
-      let claimed =
-        if not t.audit then true
-        else match r.Rule.can_fire with None -> true | Some p -> p ()
+      (* Audit mode: attempt every rule, but take the fast path's real
+         decision — [should_skip], parking included — as the claim, and
+         verify the attempt would have been accounted exactly as that skip:
+         a skipped vacuous rule must fire without committing anything, a
+         skipped bare rule must fail its guard. A rule still parked on an
+         unchanged watch sum is reported as such: its predicate may be
+         honest while its watch set misses a wakeup. *)
+      let parked_claim =
+        t.audit && r.Rule.parked && Wakeup.sum r.Rule.watches = r.Rule.park_sum
       in
+      let claimed = not (t.audit && should_skip r) in
       Kernel.set_rule_name ctx r.Rule.name;
       if t.paudit then Kernel.set_partition ctx r.Rule.part;
       (* Compile audit: install this rule's footprint-coverage hook, flag a
@@ -1030,17 +1047,15 @@ let cycle_serial t =
                   "rule %s was classified conflict-admissible but raised Retry (cycle %d); its footprint or the conflict analysis is wrong"
                   r.Rule.name t.n_cycles))
       in
+      let w0 = Kernel.value_writes ctx in
       (match r.Rule.body ctx with
       | () ->
         audit_retry_check ();
         if (not claimed) && ((not r.Rule.vacuous) || Kernel.undo_depth ctx > 0) then begin
           Kernel.rollback ctx;
-          raise
-            (Audit_fail
-               (Printf.sprintf
-                  "rule %s: can_fire returned false but the rule fired (cycle %d)"
-                  r.Rule.name t.n_cycles))
+          raise (audit_lie r ~parked:parked_claim ~cycle:t.n_cycles "the rule fired")
         end;
+        if Kernel.value_writes ctx = w0 then r.Rule.wasted <- r.Rule.wasted + 1;
         Kernel.reset_ctx ctx;
         r.Rule.fired <- r.Rule.fired + 1;
         incr fired;
@@ -1051,6 +1066,11 @@ let cycle_serial t =
         Kernel.rollback ctx;
         Kernel.reset_ctx ctx;
         audit_retry_check ();
+        (* a skip would have counted this failed attempt as a vacuous fire *)
+        if (not claimed) && r.Rule.vacuous then
+          raise
+            (audit_lie r ~parked:parked_claim ~cycle:t.n_cycles
+               "its guard failed outside [attempt]");
         r.Rule.guard_failed <- r.Rule.guard_failed + 1
       | exception Kernel.Retry msg ->
         Kernel.rollback ctx;
@@ -1060,6 +1080,9 @@ let cycle_serial t =
            itself: no schedule can ever admit it. Fail loudly, like the BSV
            compiler rejecting an ill-formed rule. *)
         if !fired = 0 then raise (Kernel.Conflict_error msg);
+        (* a skip would have accounted a fire or a guard failure *)
+        if not claimed then
+          raise (audit_lie r ~parked:parked_claim ~cycle:t.n_cycles "the attempt hit a conflict");
         r.Rule.conflicted <- r.Rule.conflicted + 1)
     end
   done;
@@ -1102,8 +1125,10 @@ let run_rules t ctx (order : Rule.t array) (fired : int ref) ~cyc ~kbit =
     end
     else begin
       Kernel.set_rule_name ctx r.Rule.name;
+      let w0 = Kernel.value_writes ctx in
       match r.Rule.body ctx with
       | () ->
+        if Kernel.value_writes ctx = w0 then r.Rule.wasted <- r.Rule.wasted + 1;
         Kernel.reset_ctx ctx;
         r.Rule.fired <- r.Rule.fired + 1;
         r.Rule.last_fired <- cyc;
@@ -1410,7 +1435,8 @@ let pp_stats fmt t =
     (if t.n_cycles = 0 then 0.0 else float_of_int t.fires /. float_of_int t.n_cycles);
   List.iter
     (fun (r : Rule.t) ->
-      Format.fprintf fmt "  %-28s fired=%-9d guard_failed=%-9d conflicted=%-6d skipped=%d@," r.name
-        r.fired r.guard_failed r.conflicted r.skipped)
+      Format.fprintf fmt
+        "  %-28s fired=%-9d guard_failed=%-9d conflicted=%-6d skipped=%-9d wasted=%d@," r.name
+        r.fired r.guard_failed r.conflicted r.skipped r.wasted)
     t.rule_list;
   Format.fprintf fmt "@]"

@@ -17,9 +17,11 @@ type mode =
   | Shuffle of int  (** Multi, but attempt order is reshuffled each cycle
                         from the given seed — for schedule-robustness tests *)
 
-(** Raised in audit mode when a rule's [can_fire] returned [false] but its
-    body nevertheless fired (committed effects): the predicate lies, and the
-    fast path would silently starve the rule. *)
+(** Raised in audit mode when the fast path would have skipped a rule — its
+    [can_fire] returned [false], or it stayed parked on an unchanged watch
+    set — but the attempt made anyway would not have been accounted as that
+    skip: most often the body fired (committed effects), so the predicate or
+    the watch set lies and the fast path would silently starve the rule. *)
 exception Audit_fail of string
 
 (** Raised by {!create} when the static partition checker finds a primitive
@@ -41,10 +43,17 @@ type t
     with [fastpath] on or off, in every mode. [~fastpath:false] strips the
     predicates (every rule is attempted, as before this optimization).
 
-    [~audit:true] disables skipping but evaluates every [can_fire] and raises
-    {!Audit_fail} if a rule fires in a cycle its predicate vetoed — the
-    debug oracle for predicate truthfulness ([--scheduler-audit] in the
-    driver).
+    [~audit:true] disables skipping but still takes every skip decision the
+    fast path would take — predicate evaluation and parking on the watch
+    set alike — and raises {!Audit_fail} when the attempt it then makes
+    anyway would not have been accounted as that skip: a vacuous rule that
+    commits state (or fails a guard outside its [attempt]), a bare rule
+    that fires, or either one hitting a conflict. This is the debug oracle
+    for predicate truthfulness and for watch sets that miss a wakeup
+    ([--scheduler-audit] in [riscyoo run]).
+
+    Every rule body that returns without committing a value write is
+    counted in [Rule.wasted] (host-side, like [Rule.skipped]).
 
     {2 Partitioned parallel execution}
 

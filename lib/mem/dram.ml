@@ -56,6 +56,9 @@ let fp_use t =
 
 let tokens t = [ Fifo.enq_token t.pending; Fifo.deq_token t.pending ]
 
-let busy t = Fifo.peek_size t.pending > 0
+let resp_ready t =
+  match Fifo.peek_head t.pending with
+  | Some (ready, _, _) -> ready <= Clock.now t.clk
+  | None -> false
 let reads t = t.n_reads
 let writes t = t.n_writes

@@ -34,9 +34,10 @@ val fp_use : t -> Cmd.Conflict.atom list
     ~touches]): the DRAM channel is private to the L2 bank that owns it. *)
 val tokens : t -> Cmd.Partition.token list
 
-(** Untracked: some read is in flight (possibly not yet ready) — part of the
-    L2 tick rule's [can_fire]. *)
-val busy : t -> bool
+(** Untracked: exactly {!can_resp}'s outcome — the oldest read's data is
+    due by [Clock.now]. Time-dependent, so a predicate built on it must be
+    watchless (part of the L2 tick rule's [can_fire]). *)
+val resp_ready : t -> bool
 
 (** Total reads and writes accepted (statistics). *)
 val reads : t -> int

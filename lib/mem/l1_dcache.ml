@@ -365,9 +365,9 @@ let tick t =
      stalled on a core-held line lock keeps [m.filled] set, which keeps the
      predicate true — no parking in that state.) *)
   let can_fire () =
-    Fifo.peek_size t.presp_i > 0
-    || Fifo.peek_size t.preq_i > 0
-    || Fifo.peek_size t.req_q > 0
+    Fifo.peek_ready t.presp_i
+    || Fifo.peek_ready t.preq_i
+    || Fifo.peek_ready t.req_q
     || Array.exists (fun m -> m.valid && m.filled) t.mshrs
   in
   let watches = [ Fifo.signal t.presp_i; Fifo.signal t.preq_i; Fifo.signal t.req_q ] in
@@ -431,9 +431,9 @@ let fp_resp_st t = [ Fifo.fp_can_deq t.resp_st_q; Fifo.fp_deq t.resp_st_q ]
 let fp_resp_at t = [ Fifo.fp_can_deq t.resp_at_q; Fifo.fp_deq t.resp_at_q ]
 
 (* untracked response-availability probes + signals, for core-rule can_fire *)
-let resp_ld_ready t = Fifo.peek_size t.resp_ld_q > 0
-let resp_st_ready t = Fifo.peek_size t.resp_st_q > 0
-let resp_at_ready t = Fifo.peek_size t.resp_at_q > 0
+let resp_ld_ready t = Fifo.peek_ready t.resp_ld_q
+let resp_st_ready t = Fifo.peek_ready t.resp_st_q
+let resp_at_ready t = Fifo.peek_ready t.resp_at_q
 let resp_ld_signal t = Fifo.signal t.resp_ld_q
 let resp_st_signal t = Fifo.signal t.resp_st_q
 let resp_at_signal t = Fifo.signal t.resp_at_q

@@ -63,7 +63,8 @@ val fp_resp_at : t -> Cmd.Conflict.atom list
 
 (** {2 Fast-path scheduler probes}
 
-    Untracked response availability ([peek_size > 0]) and the matching
+    Untracked response availability ([Fifo.peek_ready]: exactly the
+    dequeue guard's outcome) and the matching
     wakeup signals, for the [can_fire] predicates of the core rules that
     dequeue each response queue. *)
 

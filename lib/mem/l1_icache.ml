@@ -137,15 +137,30 @@ let step_preq ctx t =
   ignore (Fifo.deq ctx t.preq_i)
 
 let tick t =
-  (* [t.miss] is only ever mutated by this rule's own sub-steps, so while
-     parked it cannot change: a set miss can only clear via a presp arrival
-     (touches [presp_i]), and new demand traffic touches [req_q]/[preq_i]. *)
+  (* The lines, [t.miss] and the rotor are only ever mutated by this rule's
+     own sub-steps, so while parked they cannot change: a set miss can only
+     clear via a presp arrival (touches [presp_i]), new demand traffic
+     touches [req_q]/[preq_i], and room for a blocked hit opens only by a
+     [resp_q] dequeue or its cycle-edge snapshot advance (touches
+     [resp_q]). Readiness is checked against the cycle-start snapshots the
+     guards use. *)
   let can_fire () =
-    Fifo.peek_size t.presp_i > 0
-    || Fifo.peek_size t.preq_i > 0
-    || (Fifo.peek_size t.req_q > 0 && t.miss = None)
+    Fifo.peek_ready t.presp_i
+    || Fifo.peek_ready t.preq_i
+    || (match t.miss with
+       | Some _ -> false
+       | None -> (
+         match Fifo.peek_head t.req_q with
+         | None -> false
+         | Some (_, pc) -> (
+           (* a hit responds at once and needs [resp_q] room *)
+           match lookup t (Cache_geom.line_addr pc) with
+           | Some ln when not ln.pending -> Fifo.peek_room t.resp_q
+           | Some _ | None -> true)))
   in
-  let watches = [ Fifo.signal t.presp_i; Fifo.signal t.preq_i; Fifo.signal t.req_q ] in
+  let watches =
+    [ Fifo.signal t.presp_i; Fifo.signal t.preq_i; Fifo.signal t.req_q; Fifo.signal t.resp_q ]
+  in
   (* Declared boundary: the four child-side queues shared with the
      crossbar; everything else is core-private. *)
   let touches =
@@ -183,7 +198,9 @@ let resp ctx t = Fifo.deq ctx t.resp_q
 let can_resp ctx t = Fifo.can_deq ctx t.resp_q
 let fp_req t = [ Fifo.fp_can_enq t.req_q; Fifo.fp_enq t.req_q ]
 let fp_resp t = [ Fifo.fp_can_deq t.resp_q; Fifo.fp_deq t.resp_q ]
-let resp_ready t = Fifo.peek_size t.resp_q > 0
+let resp_ready t = Fifo.peek_ready t.resp_q
+let resp_tag t = match Fifo.peek_head t.resp_q with Some (tag, _, _) -> tag | None -> -1
+let req_room t = Fifo.peek_room t.req_q
 let resp_signal t = Fifo.signal t.resp_q
 let creq_out t = t.creq_o
 let cresp_out t = t.cresp_o

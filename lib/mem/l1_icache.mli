@@ -39,8 +39,15 @@ val fp_req : t -> Cmd.Conflict.atom list
 val fp_resp : t -> Cmd.Conflict.atom list
 
 (** Untracked response availability + its wakeup signal, for the fetch
-    rule's [can_fire]. *)
+    rule's [can_fire]; exactly {!can_resp}'s outcome ([Fifo.peek_ready]). *)
 val resp_ready : t -> bool
+
+(** Untracked: the tag {!resp} would return now, or [-1] when it would
+    fail its guard. *)
+val resp_tag : t -> int
+
+(** Untracked: exactly {!can_req}'s outcome ([Fifo.peek_room]). *)
+val req_room : t -> bool
 
 val resp_signal : t -> Cmd.Wakeup.signal
 

@@ -24,6 +24,7 @@ type mshr = {
 
 type t = {
   name : string;
+  m_mshrs_full : string; (* guard message, built once *)
   nchildren : int;
   geom : Cache_geom.t;
   lines : line array array;
@@ -91,6 +92,7 @@ let create ?(name = "l2") ?(bank = (0, 0)) ?(declared_min = 0) ?in_lookahead clk
   let t =
   {
     name;
+    m_mshrs_full = name ^ ": mshrs full";
     nchildren;
     geom;
     lines = Array.init geom.Cache_geom.sets (fun _ -> Array.init geom.Cache_geom.ways (fun _ -> mk_line ()));
@@ -306,7 +308,7 @@ let step_dram_resp ctx t =
 
 let alloc_mshr ctx t laddr kind =
   match free_mshr t with
-  | None -> raise (Kernel.Guard_fail (t.name ^ ": mshrs full"))
+  | None -> raise (Kernel.Guard_fail t.m_mshrs_full)
   | Some m ->
     fld ctx (fun () -> m.valid) (fun v -> m.valid <- v) true;
     fld ctx (fun () -> m.mline) (fun v -> m.mline <- v) laddr;
@@ -465,23 +467,41 @@ let step_delays ctx t =
   drain t.preq_delay t.preq_o;
   drain t.walk_delay t.walk_resp_q
 
+(* A delay queue's head is due: [step_delays] would try to move it on. *)
+let ripe t q =
+  match Fifo.peek_head q with Some (ready, _, _) -> ready <= Clock.now t.clk | None -> false
+
+(* [step_mshr] stops without a write when the MSHR is free, or owns its way
+   with no victim to recall and waits on the DRAM read it already sent for
+   a line still absent. *)
+let mshr_waits t (m : mshr) =
+  (not m.valid)
+  || m.way >= 0 && m.fetch_sent
+     && (match m.victim with Some _ -> false | None -> true)
+     &&
+     let ln = t.lines.(index t m.mline).(m.way) in
+     not (ln.valid && ln.tag = tag_of t m.mline)
+
+let rec mshrs_wait t i =
+  i >= Array.length t.mshrs || (mshr_waits t t.mshrs.(i) && mshrs_wait t (i + 1))
+
 let tick t =
-  (* Delay queues, the DRAM pipe and the MSHR array are mutated only by this
-     rule's own sub-steps, and their time guards ripen by clock advance alone
-     — but any such in-flight work keeps the predicate true, so the rule only
-     parks when the L2 is completely drained. Then the only possible wakeups
-     are enqueues on the three input queues, whose signals we watch. *)
+  (* False only when no sub-step can write: no delay-queue head or DRAM
+     head is due by [Clock.now], no input queue is ready against its
+     cycle-start snapshot, and every MSHR waits on its DRAM read. The
+     time-dependent terms ripen by clock advance alone, which touches no
+     signal, so the rule is watchless: the predicate is re-evaluated every
+     cycle instead of parking. *)
   let can_fire () =
-    Fifo.peek_size t.presp_delay > 0
-    || Fifo.peek_size t.preq_delay > 0
-    || Fifo.peek_size t.walk_delay > 0
-    || Fifo.peek_size t.cresp_q > 0
-    || Dram.busy t.dram
-    || Array.exists (fun (m : mshr) -> m.valid) t.mshrs
-    || Fifo.peek_size t.creq_q > 0
-    || Fifo.peek_size t.walk_req_q > 0
+    ripe t t.presp_delay
+    || ripe t t.preq_delay
+    || ripe t t.walk_delay
+    || Fifo.peek_ready t.cresp_q
+    || Dram.resp_ready t.dram
+    || (not (mshrs_wait t 0))
+    || Fifo.peek_ready t.creq_q
+    || Fifo.peek_ready t.walk_req_q
   in
-  let watches = [ Fifo.signal t.cresp_q; Fifo.signal t.creq_q; Fifo.signal t.walk_req_q ] in
   (* Declared partition tokens: the bank side of every child/walker queue,
      plus both sides of the bank-private delay queues and DRAM pipe. When
      the bank runs as its own partition the static checker uses these to
@@ -530,7 +550,7 @@ let tick t =
     ]
     @ Dram.fp_use t.dram
   in
-  Rule.make ~can_fire ~watches ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
+  Rule.make ~can_fire ~touches ~fp ~vacuous:true (t.name ^ ".tick") (fun ctx ->
       step_delays ctx t;
       (* responses first, unconditionally, all of them *)
       let continue = ref true in
@@ -562,5 +582,5 @@ let walk_req ctx t ~tag addr = Fifo.enq ctx t.walk_req_q (tag, addr)
 let can_walk_req ctx t = Fifo.can_enq ctx t.walk_req_q
 let walk_resp ctx t = Fifo.deq ctx t.walk_resp_q
 let can_walk_resp ctx t = Fifo.can_deq ctx t.walk_resp_q
-let walk_resp_ready t = Fifo.peek_size t.walk_resp_q > 0
+let walk_resp_ready t = Fifo.peek_ready t.walk_resp_q
 let walk_resp_signal t = Fifo.signal t.walk_resp_q

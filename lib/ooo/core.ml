@@ -403,6 +403,14 @@ let pipe_of (i : Instr.t) =
 
 let needs_tag (i : Instr.t) = match i.op with Instr.Br _ | Instr.Jalr -> true | _ -> false
 
+(* the least-occupied ALU IQ, lowest index on ties *)
+let alu_target t =
+  let best = ref 0 in
+  for k = 1 to Array.length t.alu_iqs - 1 do
+    if Issue_queue.count t.alu_iqs.(k) < Issue_queue.count t.alu_iqs.(!best) then best := k
+  done;
+  t.alu_iqs.(!best)
+
 let wakeup_all ctx t preg =
   Array.iter (fun q -> Issue_queue.wakeup ctx q preg) t.alu_iqs;
   Issue_queue.wakeup ctx t.md_iq preg;
@@ -416,10 +424,7 @@ let rename_one ctx t =
   (* pick the least-occupied ALU IQ *)
   let target_iq =
     match pipe with
-    | `Alu ->
-      let best = ref t.alu_iqs.(0) in
-      Array.iter (fun q -> if Issue_queue.count q < Issue_queue.count !best then best := q) t.alu_iqs;
-      Some !best
+    | `Alu -> Some (alu_target t)
     | `Md -> Some t.md_iq
     | `Mem -> Some t.mem_iq
     | `System -> None
@@ -1036,6 +1041,88 @@ let step_resp_at ctx t =
   | _ -> failwith (t.name ^ ": orphan atomic response")
 
 (* ------------------------------------------------------------------ *)
+(* Stall-aware can_fire predicates                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Each mirrors the head-of-line guards its rule's body hits first — input
+   ready against the cycle-start snapshot, room in the output queue, the
+   structural resources the first attempt needs — so a rule blocked by
+   back-pressure or by memory latency is skipped instead of attempted and
+   rolled back. Each reads only core state (its own partition) and queue
+   snapshots. Where that state is plain mutable state that other rules
+   change (ROB, IQs, free list, fetch epoch), the rule is watchless. *)
+
+(* [commit_one]'s first guards: a fault or load kill always acts; a
+   normal load or store, and every ALU/branch/muldiv op, waits for
+   [completed]; the serializing cases (MMIO, atomics, fences, CSR, ecall,
+   illegal) keep their attempt. *)
+let commit_ready t =
+  (not t.halted_f)
+  &&
+  match Rob.head t.rob with
+  | None -> false
+  | Some u -> (
+    u.fault || u.ld_kill
+    ||
+    match u.instr.op with
+    | Instr.Ld _ | Instr.St _ -> u.mmio || u.completed
+    | Instr.Lr _ | Instr.Sc _ | Instr.Amo _ | Instr.Fence | Instr.FenceI | Instr.Csr _ | Instr.Ecall
+    | Instr.Ebreak | Instr.Illegal _ ->
+      true
+    | _ -> u.completed)
+
+(* [rename_one]'s guards for the [d2r] head: ROB room, room in its IQ, a
+   free physical register, a speculation tag, LQ/SQ room. *)
+let rename_ready t =
+  match Fifo.peek_head t.d2r with
+  | None -> false
+  | Some de ->
+    let i = de.dinstr in
+    Rob.can_enq t.rob
+    && (match pipe_of i with
+       | `Alu -> Issue_queue.can_enter (alu_target t)
+       | `Md -> Issue_queue.can_enter t.md_iq
+       | `Mem -> Issue_queue.can_enter t.mem_iq
+       | `System -> true)
+    && ((not (Instr.writes_rd i)) || Free_list.free_count t.fl > 0)
+    && ((not (needs_tag i)) || Spec_manager.can_alloc t.spec)
+    &&
+    match i.op with
+    | Instr.Ld _ | Instr.Lr _ -> Lsq.can_enq_ld t.lsq
+    | Instr.St _ | Instr.Sc _ | Instr.Amo _ -> Lsq.can_enq_st t.lsq
+    | _ -> true
+
+(* [step_decode]: a ready [f2d] group is dropped when stale, else needs
+   [d2r] room for its first instruction. *)
+let decode_ready t =
+  match Fifo.peek_head t.f2d with
+  | None -> false
+  | Some g -> g.gepoch <> t.epoch || Array.length g.gwords = 0 || Fifo.peek_room t.d2r
+
+(* [step_fetch_mem]: a ready I$ response is dropped when its slot is
+   stale, else needs [f2d] room. *)
+let fetch_mem_ready t =
+  let tag = Mem.L1_icache.resp_tag t.ic in
+  tag >= 0 && (t.fslots.(tag).fepoch <> t.epoch || Fifo.peek_room t.f2d)
+
+(* [step_fetch_dispatch]: a translated slot is dropped when stale, else
+   needs I$ request room. *)
+let fetch_dispatch_ready t =
+  let slot = t.fslots.(t.f_mem mod 8) in
+  match slot.fst with
+  | FReady _ -> slot.fepoch <> t.epoch || Mem.L1_icache.req_room t.ic
+  | FFree | FWaitTlb | FWaitMem -> false
+
+let rec tlb_slot_free t k =
+  k < Array.length t.tlb_pending && (Option.is_none t.tlb_pending.(k) || tlb_slot_free t (k + 1))
+
+(* [step_regread_mem]: an occupant needs a free [tlb_pending] slot. *)
+let mem_rr_ready t = Stage.occupied t.mem_rr && tlb_slot_free t 0
+
+(* The issue rules: a ready entry and an empty register-read stage. *)
+let issue_ready q rr = Issue_queue.has_ready q && not (Stage.occupied rr)
+
+(* ------------------------------------------------------------------ *)
 (* Rule list                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1063,7 +1150,7 @@ let rules ?(schedule = `Aggressive) t =
   let n = t.name in
   (* predicate/watch helpers *)
   let stage s = (Some (fun () -> Stage.occupied s), Some [ Stage.signal s ]) in
-  let fifo q = (Some (fun () -> Fifo.peek_size q > 0), Some [ Fifo.signal q ]) in
+  let fifo q = (Some (fun () -> Fifo.peek_ready q), Some [ Fifo.signal q ]) in
   let mk_stage s ~fp name f = let can_fire, watches = stage s in mk ?can_fire ?watches ~fp name f in
   let mk_fifo q ~fp name f = let can_fire, watches = fifo q in mk ?can_fire ?watches ~fp name f in
   (* conflict footprints ([Rule.make ~fp]): only EHR-backed state counts —
@@ -1082,11 +1169,8 @@ let rules ?(schedule = `Aggressive) t =
   let flush_fps = Fifo.fp_clear t.d2r :: squash_fps in
   let byp_read = if t.cfg.bypass then Bypass.fp_get_all t.byp else [] in
   let commit =
-    (* [commit_one] guards on [not halted] and a ROB head; ROB occupancy is
-       plain mutable state, so the rule is watchless (predicate re-checked
-       every cycle). *)
     Rule.make ~vacuous:true
-      ~can_fire:(fun () -> (not t.halted_f) && Rob.count t.rob > 0)
+      ~can_fire:(fun () -> commit_ready t)
       ~fp:(Mem.L1_dcache.fp_req t.dc @ flush_fps)
       (n ^ ".commit")
       (fun ctx -> step_commit ctx t)
@@ -1165,7 +1249,8 @@ let rules ?(schedule = `Aggressive) t =
   in
   let rr_mem =
     [
-      mk_stage t.mem_rr
+      mk
+        ~can_fire:(fun () -> mem_rr_ready t)
         ~fp:
           (byp_read @ Tlb.Tlb_sys.fp_dtlb_req t.tlbs
           @ [ Stage.fp_take t.mem_rr ])
@@ -1240,18 +1325,18 @@ let rules ?(schedule = `Aggressive) t =
   let issue =
     List.init t.cfg.n_alu (fun i ->
         mk
-          ~can_fire:(fun () -> Issue_queue.has_ready t.alu_iqs.(i))
+          ~can_fire:(fun () -> issue_ready t.alu_iqs.(i) t.alu_rr.(i))
           ~fp:[ Stage.fp_can_put t.alu_rr.(i); Stage.fp_put t.alu_rr.(i) ]
           (Printf.sprintf "%s.alu%d.issue" n i)
           (fun ctx -> step_issue_alu ctx t i))
     @ [
         mk
-          ~can_fire:(fun () -> Issue_queue.has_ready t.md_iq)
+          ~can_fire:(fun () -> issue_ready t.md_iq t.md_rr)
           ~fp:[ Stage.fp_can_put t.md_rr; Stage.fp_put t.md_rr ]
           (n ^ ".md.issue")
           (fun ctx -> step_issue_md ctx t);
         mk
-          ~can_fire:(fun () -> Issue_queue.has_ready t.mem_iq)
+          ~can_fire:(fun () -> issue_ready t.mem_iq t.mem_rr)
           ~fp:[ Stage.fp_can_put t.mem_rr; Stage.fp_put t.mem_rr ]
           (n ^ ".mem.issue")
           (fun ctx -> step_issue_mem ctx t);
@@ -1259,7 +1344,8 @@ let rules ?(schedule = `Aggressive) t =
   in
   let decode =
     [
-      mk_fifo t.f2d
+      mk
+        ~can_fire:(fun () -> decode_ready t)
         ~fp:[ Fifo.fp_deq t.f2d; Fifo.fp_enq t.d2r ]
         (n ^ ".decode")
         (fun ctx -> step_decode ctx t);
@@ -1268,8 +1354,7 @@ let rules ?(schedule = `Aggressive) t =
   let rename =
     [
       Rule.make ~vacuous:true
-        ~can_fire:(fun () -> Fifo.peek_size t.d2r > 0)
-        ~watches:[ Fifo.signal t.d2r ]
+        ~can_fire:(fun () -> rename_ready t)
         ~fp:[ Fifo.fp_first t.d2r; Fifo.fp_deq t.d2r ]
         (n ^ ".rename")
         (fun ctx -> step_rename ctx t);
@@ -1278,8 +1363,7 @@ let rules ?(schedule = `Aggressive) t =
   let fetch =
     [
       mk
-        ~can_fire:(fun () -> Mem.L1_icache.resp_ready t.ic)
-        ~watches:[ Mem.L1_icache.resp_signal t.ic ]
+        ~can_fire:(fun () -> fetch_mem_ready t)
         ~fp:(Mem.L1_icache.fp_resp t.ic @ [ Fifo.fp_enq t.f2d ])
         (n ^ ".fetch.mem")
         (fun ctx -> step_fetch_mem ctx t);
@@ -1289,8 +1373,7 @@ let rules ?(schedule = `Aggressive) t =
          into [f2d] after consuming the cache response. The claims are
          discharged dynamically by [--compile-audit]. *)
       mk ~total:true
-        ~can_fire:(fun () ->
-          match t.fslots.(t.f_mem mod 8).fst with FReady _ -> true | FFree | FWaitTlb | FWaitMem -> false)
+        ~can_fire:(fun () -> fetch_dispatch_ready t)
         ~fp:(Mem.L1_icache.fp_req t.ic)
         (n ^ ".fetch.dispatch")
         (fun ctx -> step_fetch_dispatch ctx t);

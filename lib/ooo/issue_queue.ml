@@ -2,11 +2,17 @@ open Cmd
 
 type entry = { mutable used : bool; mutable u : Uop.t option; mutable rdy1 : bool; mutable rdy2 : bool }
 
-type t = { nm : string; m_full : string; entries : entry array; mutable n : int }
+type t = {
+  nm : string;
+  m_full : string; (* guard messages precomputed: [issue] fails on *)
+  m_none : string; (* most cycles of an idle pipe *)
+  entries : entry array;
+  mutable n : int;
+}
 
 let create ~name ~size =
   let t =
-    { nm = name; m_full = name ^ " full";
+    { nm = name; m_full = name ^ " full"; m_none = name ^ ": nothing ready";
       entries = Array.init size (fun _ -> { used = false; u = None; rdy1 = true; rdy2 = true }); n = 0 }
   in
   State.field ~name
@@ -66,7 +72,7 @@ let issue ctx t =
       | _ -> ())
     t.entries;
   match !best with
-  | None -> raise (Kernel.Guard_fail (t.nm ^ ": nothing ready"))
+  | None -> raise (Kernel.Guard_fail t.m_none)
   | Some (e, u) ->
     free_entry ctx e;
     set_n ctx t (t.n - 1);

@@ -289,19 +289,50 @@ let step_walk_retire ctx t (w : walk) =
   Kernel.guard ctx (not (needed t.i || needed t.d)) "walk result still needed";
   fld ctx (fun () -> w.wvalid) (fun v -> w.wvalid <- v) false
 
+(* A live miss slot whose vpn has a walk with its memory read in flight
+   can make no progress: at most one walk per vpn exists, and until that
+   read returns the walk has no result and the L2 TLB cannot have gained
+   the vpn (only a walk response fills it), so [step_l1_miss] fails its
+   "walk pending" guard. *)
+let rec awaits_walk t m i =
+  i < Array.length t.walks
+  && (let w = t.walks.(i) in
+      (w.wvalid && w.outstanding && Int64.equal w.wvpn m.mvpn) || awaits_walk t m (i + 1))
+
+let rec misses_live t side i =
+  i < Array.length side.misses
+  && (let m = side.misses.(i) in
+      (m.mvalid && not (awaits_walk t m 0)) || misses_live t side (i + 1))
+
+(* Could this side's miss slots or request queue make progress? A request
+   needs a ready queue head and, in the blocking configuration, no
+   outstanding miss. *)
+let side_live t side =
+  misses_live t side 0
+  || (Fifo.peek_ready side.req_q
+     && (Array.length side.misses > 1 || not side.misses.(0).mvalid))
+
+(* Some walk is not waiting on memory: a PTE read to issue, or a result
+   to retire. *)
+let rec walk_ready t i =
+  i < Array.length t.walks
+  && (let w = t.walks.(i) in
+      (w.wvalid && not w.outstanding) || walk_ready t (i + 1))
+
 let tick t =
-  (* Walk slots and miss slots are mutated only by this rule's own sub-steps,
-     so while parked they cannot change; any in-flight walk or miss keeps the
-     predicate true. Parking therefore only happens fully drained, and the
-     only wakeups are enqueues on the two request queues (core side) or the
-     walk-memory response queue (crossbar side) — all watched. *)
+  (* Walk slots, miss slots and the TLB arrays are mutated only by this
+     rule's own sub-steps, so while parked they cannot change. Work is a
+     ready walk response, a walk not waiting on memory (a PTE read to
+     issue, or a result to retire), a miss slot not waiting on such a read,
+     or a serviceable request. The rule thus parks while every live miss
+     waits on an outstanding walk — most of a blocking TLB's miss time —
+     and the wakeups are the walk-memory response queue (crossbar side)
+     and the two request queues (core side), all watched. *)
   let can_fire () =
-    Fifo.peek_size t.wresp > 0
-    || Array.exists (fun w -> w.wvalid) t.walks
-    || Array.exists (fun m -> m.mvalid) t.i.misses
-    || Array.exists (fun m -> m.mvalid) t.d.misses
-    || Fifo.peek_size t.i.req_q > 0
-    || Fifo.peek_size t.d.req_q > 0
+    Fifo.peek_ready t.wresp
+    || walk_ready t 0
+    || side_live t t.d
+    || side_live t t.i
   in
   let watches = [ Fifo.signal t.wresp; Fifo.signal t.i.req_q; Fifo.signal t.d.req_q ] in
   (* Declared boundary: the walk-memory queues shared with the walk
@@ -351,8 +382,8 @@ let fp_dtlb_req t = [ Fifo.fp_can_enq t.d.req_q; Fifo.fp_enq t.d.req_q ]
 let fp_dtlb_resp t = [ Fifo.fp_can_deq t.d.resp_q; Fifo.fp_deq t.d.resp_q ]
 let walk_mem_req t = t.wreq
 let walk_mem_resp t = t.wresp
-let itlb_resp_ready t = Fifo.peek_size t.i.resp_q > 0
-let dtlb_resp_ready t = Fifo.peek_size t.d.resp_q > 0
+let itlb_resp_ready t = Fifo.peek_ready t.i.resp_q
+let dtlb_resp_ready t = Fifo.peek_ready t.d.resp_q
 let itlb_resp_signal t = Fifo.signal t.i.resp_q
 let dtlb_resp_signal t = Fifo.signal t.d.resp_q
 

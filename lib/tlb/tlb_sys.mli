@@ -62,7 +62,8 @@ val fp_dtlb_resp : t -> Cmd.Conflict.atom list
 
 (** {2 Fast-path scheduler probes}
 
-    Untracked response availability ([peek_size > 0]) and the matching
+    Untracked response availability ([Fifo.peek_ready]: exactly the
+    dequeue guard's outcome) and the matching
     wakeup signals, for the [can_fire] of core rules that dequeue TLB
     responses. *)
 

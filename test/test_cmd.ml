@@ -400,6 +400,72 @@ let qcheck_ehr_ports =
         (not blocked)
         && (match List.rev lower with [] -> v = -1 | last :: _ -> v = last))
 
+(* qcheck: the untracked probes agree with the tracked guards. Random
+   enq/deq/first/clear steps, each its own transaction, interleaved with
+   cycle boundaries; before every step [peek_room], [peek_ready] and
+   [peek_head] must equal what [can_enq], [can_deq] and [first] compute at
+   that point (a probe transaction is always rolled back, so it leaves no
+   port bookkeeping behind; a tracked probe that hits a port conflict gives
+   no verdict). *)
+let qcheck_fifo_probes =
+  QCheck.Test.make ~name:"fifo probes equal the tracked guards" ~count:300
+    QCheck.(
+      triple (int_bound 2) (int_bound 3)
+        (list_of_size Gen.(1 -- 80) (pair (int_bound 5) small_nat)))
+    (fun (kind, extra, ops) ->
+      let clk = Clock.create () in
+      let capacity = 1 + extra in
+      let q =
+        match kind with
+        | 0 -> Fifo.pipeline ~capacity ()
+        | 1 -> Fifo.bypass ~capacity ()
+        | _ -> Fifo.cf clk ~capacity ()
+      in
+      let ctx = Kernel.make_ctx clk in
+      let tracked f =
+        let out = ref `Conflict in
+        ignore
+          (Kernel.attempt ctx (fun ctx ->
+               (match f ctx with
+               | v -> out := `Val v
+               | exception Kernel.Guard_fail _ -> out := `Guard);
+               raise (Kernel.Guard_fail "probe only")));
+        !out
+      in
+      let agrees () =
+        (match tracked (fun ctx -> Fifo.can_enq ctx q) with
+        | `Val b -> b = Fifo.peek_room q
+        | `Guard | `Conflict -> true)
+        && (match tracked (fun ctx -> Fifo.can_deq ctx q) with
+           | `Val b -> b = Fifo.peek_ready q
+           | `Guard | `Conflict -> true)
+        &&
+        match tracked (fun ctx -> Fifo.first ctx q) with
+        | `Val v -> Fifo.peek_head q = Some v
+        | `Guard -> Fifo.peek_head q = None
+        | `Conflict -> true
+      in
+      let step (op, v) =
+        match op with
+        | 5 -> Clock.tick clk
+        | _ ->
+          let act ctx =
+            match op with
+            | 0 | 1 -> Fifo.enq ctx q v
+            | 2 -> ignore (Fifo.deq ctx q)
+            | 3 -> ignore (Fifo.first ctx q)
+            | _ -> Fifo.clear ctx q
+          in
+          if Kernel.attempt ctx act <> None then Kernel.reset_ctx ctx
+      in
+      List.for_all
+        (fun op ->
+          let ok = agrees () in
+          step op;
+          ok)
+        ops
+      && agrees ())
+
 let qcheck_conflict_algebra =
   QCheck.Test.make ~name:"conflict algebra: join/flip laws" ~count:200
     QCheck.(pair (int_bound 3) (int_bound 3))
@@ -555,4 +621,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_token_conservation;
     QCheck_alcotest.to_alcotest qcheck_ehr_ports;
     QCheck_alcotest.to_alcotest qcheck_conflict_algebra;
+    QCheck_alcotest.to_alcotest qcheck_fifo_probes;
   ]

@@ -157,6 +157,46 @@ let test_audit_passes_honest () =
   done;
   Alcotest.(check int) "honest rule fired vacuously every cycle" 50 honest.Rule.fired
 
+(* The audit also checks watch sets: it takes the fast path's real skip
+   decision, parking included, as the claim. Seeded bug: [consume]'s
+   predicate is honest, but it watches a signal unrelated to [flag], so
+   once parked it is never re-polled when [flag] rises — the fast path
+   would strand it. The audit must report it; watching [flag] passes. *)
+let run_watch_audit ~watch_flag =
+  let clk = Clock.create () in
+  let flag = Ehr.create ~name:"flag" 0 in
+  let other = Ehr.create ~name:"other" 0 in
+  let n = ref 0 in
+  let taken = ref 0 in
+  let rules =
+    [
+      Rule.make "consume"
+        ~can_fire:(fun () -> Ehr.peek flag = 1)
+        ~watches:[ Ehr.signal (if watch_flag then flag else other) ]
+        (fun ctx ->
+          Kernel.guard ctx (Ehr.read ctx flag 0 = 1) "flag low";
+          Ehr.write ctx flag 0 0;
+          Mut.set ctx taken (!taken + 1));
+      Rule.make "raise" (fun ctx ->
+          Kernel.guard ctx (!n = 5) "not yet";
+          Ehr.write ctx flag 1 1);
+    ]
+  in
+  let sim = Sim.create ~audit:true clk rules in
+  for _ = 1 to 10 do
+    ignore (Sim.cycle sim);
+    incr n
+  done;
+  !taken
+
+let test_audit_checks_watches () =
+  Alcotest.check_raises "a watch set that misses the wakeup trips the audit"
+    (Sim.Audit_fail
+       "rule consume: parked on its watch set but the rule fired (cycle 6); a watched signal misses a wakeup")
+    (fun () -> ignore (run_watch_audit ~watch_flag:false));
+  Alcotest.(check int) "watching the right signal passes and consumes" 1
+    (run_watch_audit ~watch_flag:true)
+
 let test_fastpath_starves_liar () =
   (* the positive justification for the audit: under the fast path a lying
      predicate silently suppresses the rule *)
@@ -202,15 +242,17 @@ let jobs =
   | Some n when n >= 1 -> n
   | _ -> 1
 
-let run_full ~fastpath ~mode ?(cfg = Ooo.Config.riscyoo_b) ~budget prog =
-  let m = Machine.create ~paging:true ~mode ~fastpath ~jobs (Machine.Out_of_order cfg) prog in
+let run_full ~fastpath ~mode ?(cfg = Ooo.Config.riscyoo_b) ?(ncores = 1) ~budget prog =
+  let m =
+    Machine.create ~paging:true ~mode ~fastpath ~jobs ~ncores (Machine.Out_of_order cfg) prog
+  in
   let o = Machine.run ~max_cycles:budget m in
   Alcotest.(check bool) "run completes" false o.Machine.timed_out;
-  (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, fired_counts m)
+  (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m, fired_counts m)
 
 let check_equiv name (c1, x1, i1, f1) (c2, x2, i2, f2) =
   Alcotest.(check int) (name ^ ": cycles identical") c1 c2;
-  Alcotest.check i64 (name ^ ": exit checksum identical") x1 x2;
+  Alcotest.(check (list i64)) (name ^ ": exit checksums identical") x1 x2;
   Alcotest.(check int) (name ^ ": instret identical") i1 i2;
   Alcotest.(check (list (pair string string))) (name ^ ": per-rule fire counts identical") f1 f2
 
@@ -260,6 +302,21 @@ let test_spec_equivalence () =
       check_equiv kernel on off)
     [ "gcc"; "gobmk" ]
 
+(* The stalls the stall-aware predicates target never show on [small_cfg]
+   (non-blocking TLB, 24-cycle memory): cover them directly — mcf on
+   RiscyOO-B (blocking TLB walks, 120-cycle DRAM) and a PARSEC kernel on
+   the TSO quad-core (coherence round trips through the shared L2). *)
+let test_stall_equivalence () =
+  let prog = Spec_kernels.find "mcf" ~scale:1 in
+  let on = run_full ~fastpath:true ~mode:Sim.Multi ~budget:10_000_000 prog in
+  let off = run_full ~fastpath:false ~mode:Sim.Multi ~budget:10_000_000 prog in
+  check_equiv "mcf/riscyoo-b" on off;
+  let cfg = Ooo.Config.multicore Ooo.Config.TSO in
+  let prog = Parsec_kernels.find "streamcluster" ~harts:4 ~scale:1 in
+  let on = run_full ~fastpath:true ~mode:Sim.Multi ~cfg ~ncores:4 ~budget:10_000_000 prog in
+  let off = run_full ~fastpath:false ~mode:Sim.Multi ~cfg ~ncores:4 ~budget:10_000_000 prog in
+  check_equiv "streamcluster/quad-tso" on off
+
 (* The whole-processor predicate set passes the dynamic truthfulness check. *)
 let test_smoke_audit_clean () =
   let prog = Spec_kernels.find "smoke" ~scale:1 in
@@ -286,7 +343,7 @@ let run_engine ~compile ~mode ?(cfg = Ooo.Config.riscyoo_b) ~budget prog =
     (Machine.compiled m);
   let o = Machine.run ~max_cycles:budget m in
   Alcotest.(check bool) "run completes" false o.Machine.timed_out;
-  (o.Machine.cycles, o.Machine.exits.(0), Machine.instrs m, fired_counts m)
+  (o.Machine.cycles, Array.to_list o.Machine.exits, Machine.instrs m, fired_counts m)
 
 let test_smoke_compile_equivalence () =
   let prog = Spec_kernels.find "smoke" ~scale:1 in
@@ -342,9 +399,11 @@ let suite =
     t "late wakeup of a parked rule" `Quick test_late_wakeup;
     t "audit catches lying can_fire" `Quick test_audit_catches_liar;
     t "audit passes honest predicates" `Quick test_audit_passes_honest;
+    t "audit checks watch sets (parking)" `Quick test_audit_checks_watches;
     t "fast path starves a liar (why audit exists)" `Quick test_fastpath_starves_liar;
     t "smoke equivalence (multi/shuffle/serial)" `Slow test_smoke_equivalence;
     t "spec kernel equivalence (gcc, gobmk)" `Slow test_spec_equivalence;
+    t "stall equivalence (mcf riscyoo-b, quad-tso parsec)" `Slow test_stall_equivalence;
     t "smoke audit clean" `Quick test_smoke_audit_clean;
     t "smoke compiled == interpreted (multi/shuffle)" `Slow test_smoke_compile_equivalence;
     t "spec kernel compiled == interpreted (gcc, gobmk)" `Slow test_spec_compile_equivalence;
